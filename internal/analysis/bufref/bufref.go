@@ -2,9 +2,9 @@
 // refcounting", DESIGN.md) that the PR 2 zero-copy path rests on:
 //
 //   - A Buf handed to a consuming sink — Release, an egress Enqueue,
-//     driver.WriteBuf, BufCursor.Load — is dead on that path: any later
-//     use, including a second Release, is a refcount bug that corrupts
-//     the pool (or panics) only under load.
+//     wire.Queue.Push, driver.WriteBuf, BufCursor.Load — is dead on that
+//     path: any later use, including a second Release, is a refcount bug
+//     that corrupts the pool (or panics) only under load.
 //   - A function that acquired a reference (wire.GetBuf, ReadFrameBuf,
 //     driver.ReadBuf, BufCursor.Take, Retain) must consume it on every
 //     error return: the error path is exactly the path tests forget,
@@ -21,9 +21,10 @@
 // it cannot see (stored into a field, captured by a closure, passed to
 // a callee with an unknown contract) it stops tracking that variable
 // rather than guess. Known borrow-and-retain callees (route, Inject,
-// ForwardFrame, sendForward, handleForward — they retain internally
-// and the caller's release stays valid, see the route contract in
-// internal/relay) keep the variable tracked.
+// ForwardFrame, sendForward, handleForward, and the relay client's
+// dispatch and deliver — they retain internally and the caller's
+// release stays valid, see the route contract in internal/relay) keep
+// the variable tracked.
 package bufref
 
 import (
@@ -683,10 +684,17 @@ func callContract(fn *types.Func) contract {
 		// Egress scheduling holds the reference the caller retained for
 		// it and releases after the write.
 		return contractConsume
-	case "route", "Inject", "ForwardFrame", "sendForward", "handleForward", "handleNack":
+	case "Push":
+		// wire.Queue holds the reference it is handed (or drops it at
+		// once after copying) and releases it when the bytes are read.
+		if analysis.IsWirePkg(pkg) && analysis.IsMethodOn(fn, "Push", pkg, "Queue") {
+			return contractConsume
+		}
+	case "route", "Inject", "ForwardFrame", "sendForward", "handleForward", "handleNack", "dispatch", "deliver":
 		// Documented borrow-and-retain: the callee retains for any queue
 		// it enters; the caller's release stays valid (see route's
-		// contract comment in internal/relay).
+		// contract comment in internal/relay, and the relay client's
+		// dispatch/deliver onto a link's receive queue).
 		return contractBorrow
 	}
 	return contractUnknown

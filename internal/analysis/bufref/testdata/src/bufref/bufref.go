@@ -109,6 +109,30 @@ func retainForEnqueue(q *queue, b *wire.Buf) {
 	q.Enqueue(b) // allowed: Enqueue consumes the retained reference
 }
 
+func pushWithoutRetain(q *wire.Queue, b *wire.Buf) {
+	q.Push(b, nil)
+	b.Release() // want "b used after being consumed by Push at"
+}
+
+func retainForPush(q *wire.Queue, b *wire.Buf) {
+	b.Retain()
+	q.Push(b, nil) // allowed: Push consumes the retained reference
+}
+
+// deliver mimics the relay client's borrow-and-retain delivery onto a
+// link's receive queue.
+func deliver(b *wire.Buf) {}
+
+func readThenDeliver(r *wire.Reader) {
+	_, _, b, err := r.ReadFrameBuf()
+	if err != nil {
+		return
+	}
+	deliver(b)
+	b.Release() // allowed: deliver borrows, the reader still owes this release
+	b.Release() // want "double release of b: already released at"
+}
+
 func routeBorrows(b *wire.Buf) int {
 	route(b)
 	return b.Len() // allowed: route retains internally, our reference stays valid

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"netibis/internal/wire"
 )
 
 // timeoutError is returned when a deadline expires on an emulated
@@ -75,11 +77,13 @@ func (sh *shaper) sendDelay(n int) time.Duration {
 const DefaultSocketBuffer = 4 << 20
 
 // halfPipe is one direction of an emulated connection: an in-memory byte
-// buffer with blocking reads, close semantics and read deadlines.
+// buffer with blocking reads, close semantics and read deadlines. The
+// in-flight bytes sit in pooled chunks (wire.Queue), so a steady stream
+// through the pipe allocates nothing.
 type halfPipe struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	buf      []byte
+	buf      wire.Queue
 	closed   bool
 	stalled  bool
 	deadline time.Time
@@ -105,7 +109,7 @@ func (hp *halfPipe) write(p []byte) (int, error) {
 		if hp.closed {
 			return total, io.ErrClosedPipe
 		}
-		space := hp.maxBuffered - len(hp.buf)
+		space := hp.maxBuffered - hp.buf.Len()
 		if space <= 0 {
 			hp.cond.Wait()
 			continue
@@ -114,7 +118,7 @@ func (hp *halfPipe) write(p []byte) (int, error) {
 		if n > space {
 			n = space
 		}
-		hp.buf = append(hp.buf, p[:n]...)
+		hp.buf.Write(p[:n])
 		p = p[n:]
 		total += n
 		hp.cond.Broadcast()
@@ -126,12 +130,8 @@ func (hp *halfPipe) read(p []byte) (int, error) {
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
 	for {
-		if len(hp.buf) > 0 && !hp.stalled {
-			n := copy(p, hp.buf)
-			hp.buf = hp.buf[n:]
-			if len(hp.buf) == 0 {
-				hp.buf = nil
-			}
+		if hp.buf.Len() > 0 && !hp.stalled {
+			n, _ := hp.buf.Read(p)
 			hp.cond.Broadcast()
 			return n, nil
 		}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"netibis/internal/testutil"
 )
 
 func connPairForTest() (net.Conn, net.Conn) {
@@ -52,6 +54,39 @@ func TestConnLargeTransferIntegrity(t *testing.T) {
 	}
 	if sha256.Sum256(got) != wantSum {
 		t.Fatal("payload corrupted in transit")
+	}
+}
+
+// TestConnWriteReadZeroAllocs gates the pooled pipe: in steady state a
+// Write and the Reads draining it allocate nothing — the in-flight bytes
+// cycle through pooled chunks instead of a reallocated byte slice.
+func TestConnWriteReadZeroAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops puts at random; the gate would measure the detector")
+	}
+	ca, cb := connPairForTest()
+	defer ca.Close()
+	defer cb.Close()
+	big := bytes.Repeat([]byte{0xC5}, 64<<10+9)
+	small := big[:300]
+	out := make([]byte, 32<<10)
+	cycle := func() {
+		for _, p := range [][]byte{small, big, small} {
+			if _, err := ca.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for want := 2*len(small) + len(big); want > 0; {
+			n, err := cb.Read(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want -= n
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("emunet Write/Read allocates %.1f objects per cycle, want 0", allocs)
 	}
 }
 

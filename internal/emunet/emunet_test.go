@@ -555,3 +555,59 @@ func TestNATQuickDistinctInternalsGetDistinctPorts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEphemeralPortsWrapAndSkipListeners allocates more ports than the
+// ephemeral range holds: every port handed out (by AllocatePort, Dial's
+// source-port allocation and Listen(0) alike) stays inside the 16-bit
+// range, the cursor wraps, and no allocation lands on a port a live
+// listener holds.
+func TestEphemeralPortsWrapAndSkipListeners(t *testing.T) {
+	f := NewFabric()
+	defer f.Close()
+	h := f.AddSite("ports", SiteConfig{Firewall: Open}).AddHost("h")
+	auto, err := h.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer auto.Close()
+	fixed, err := h.Listen(20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fixed.Close()
+	bound := map[int]bool{auto.port: true, fixed.port: true}
+
+	const allocations = 60000 // > the 55535 ports of the ephemeral range
+	wrapped := false
+	prev := auto.port
+	for i := 0; i < allocations; i++ {
+		var port int
+		switch i % 1000 {
+		case 998:
+			// Listen(0) draws from the same cursor and must get a free port.
+			l, err := h.Listen(0)
+			if err != nil {
+				t.Fatalf("allocation %d: Listen(0): %v", i, err)
+			}
+			port = l.port
+			l.Close()
+		case 999:
+			port = h.allocEphemeral()
+		default:
+			port = h.AllocatePort()
+		}
+		if port < ephemeralFirst || port > 65535 {
+			t.Fatalf("allocation %d: port %d outside [%d, 65535]", i, port, ephemeralFirst)
+		}
+		if bound[port] {
+			t.Fatalf("allocation %d: port %d collides with a live listener", i, port)
+		}
+		if port < prev {
+			wrapped = true
+		}
+		prev = port
+	}
+	if !wrapped {
+		t.Fatalf("%d allocations never wrapped the port cursor", allocations)
+	}
+}

@@ -387,7 +387,7 @@ func (s *Site) AddHost(name string) *Host {
 		name:      name,
 		addr:      addr,
 		listeners: make(map[int]*Listener),
-		nextPort:  10000,
+		nextPort:  ephemeralFirst - 1,
 	}
 	s.hosts = append(s.hosts, h)
 	s.mu.Unlock()

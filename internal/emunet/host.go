@@ -51,11 +51,40 @@ func (h *Host) Topology() Topology {
 	}
 }
 
-// allocEphemeral reserves a fresh local port number.
+// The ephemeral port range. Allocation cycles through it in order, so a
+// long-running host reuses ports instead of counting past the 16-bit
+// range (where a SOCKS CONNECT request would truncate the port).
+const (
+	ephemeralFirst = 10001
+	ephemeralLast  = 65535
+)
+
+// nextEphemeralLocked advances the port cursor to the next ephemeral port
+// not bound by a live listener, wrapping at the top of the range. It
+// reports false when every port of the range is bound. h.mu must be
+// held.
+func (h *Host) nextEphemeralLocked() (int, bool) {
+	for i := ephemeralFirst; i <= ephemeralLast; i++ {
+		h.nextPort++
+		if h.nextPort < ephemeralFirst || h.nextPort > ephemeralLast {
+			h.nextPort = ephemeralFirst
+		}
+		if _, busy := h.listeners[h.nextPort]; !busy {
+			return h.nextPort, true
+		}
+	}
+	return 0, false
+}
+
+// allocEphemeral reserves a fresh local port number. With every port
+// bound by a listener it still returns the cursor's next port: a dial
+// needs no free port, and a caller binding it gets ErrPortInUse.
 func (h *Host) allocEphemeral() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.nextPort++
+	if port, ok := h.nextEphemeralLocked(); ok {
+		return port
+	}
 	return h.nextPort
 }
 
@@ -113,8 +142,10 @@ func (h *Host) Listen(port int) (*Listener, error) {
 		return nil, ErrClosed
 	}
 	if port == 0 {
-		h.nextPort++
-		port = h.nextPort
+		var ok bool
+		if port, ok = h.nextEphemeralLocked(); !ok {
+			return nil, ErrPortInUse
+		}
 	}
 	if _, busy := h.listeners[port]; busy {
 		return nil, ErrPortInUse

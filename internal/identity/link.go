@@ -144,9 +144,19 @@ func OfferLink(id *Identity, initID, respID string, channel uint64) (*LinkOffer,
 // LinkKeys is a routed link's established end-to-end state: one sealing
 // AEAD (our sends) and one opening AEAD (the peer's sends), plus the
 // authenticated peer announcement for diagnostics.
+//
+// Seal calls must be serialised with one another, and so must Open
+// calls (each direction of a link has one sequence counter, so its
+// records are produced and consumed in order anyway); a Seal may run
+// concurrently with an Open.
 type LinkKeys struct {
 	seal cipher.AEAD
 	open cipher.AEAD
+	// Per-direction nonce buffers: a nonce on the stack escapes through
+	// the cipher.AEAD interface call, one allocation per record. The
+	// first four bytes stay zero; the sequence number fills the rest.
+	sealNonce [12]byte
+	openNonce [12]byte
 	// PeerPublic is the peer's authenticated identity key.
 	PeerPublic []byte
 }
@@ -274,10 +284,9 @@ func (o *LinkOffer) CompleteLink(ts *TrustStore, answerBlob []byte) (*LinkKeys, 
 // so). seq must be strictly increasing per link direction; the caller
 // owns the counter.
 func (k *LinkKeys) Seal(dst []byte, seq uint64, plaintext []byte) []byte {
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], seq)
+	binary.BigEndian.PutUint64(k.sealNonce[4:], seq)
 	dst = binary.BigEndian.AppendUint64(dst, seq)
-	return k.seal.Seal(dst, nonce[:], plaintext, nil)
+	return k.seal.Seal(dst, k.sealNonce[:], plaintext, nil)
 }
 
 // Open authenticates and decrypts one incoming record, appending the
@@ -289,11 +298,22 @@ func (k *LinkKeys) Open(dst []byte, record []byte) (plaintext []byte, seq uint64
 		return nil, 0, ErrMalformed
 	}
 	seq = binary.BigEndian.Uint64(record[:8])
-	var nonce [12]byte
-	binary.BigEndian.PutUint64(nonce[4:], seq)
-	pt, err := k.open.Open(dst, nonce[:], record[8:], nil)
+	binary.BigEndian.PutUint64(k.openNonce[4:], seq)
+	pt, err := k.open.Open(dst, k.openNonce[:], record[8:], nil)
 	if err != nil {
 		return nil, seq, ErrBadSignature
 	}
 	return pt, seq, nil
+}
+
+// OpenInPlace is Open decrypting over the record itself: the plaintext
+// overwrites the ciphertext (cipher.AEAD permits exactly this overlap)
+// and is returned as a subslice of record, so a receiver can keep the
+// record's storage as its receive buffer instead of copying out of it.
+// On failure the record's contents are undefined and must be discarded.
+func (k *LinkKeys) OpenInPlace(record []byte) (plaintext []byte, seq uint64, err error) {
+	if len(record) < 8 {
+		return nil, 0, ErrMalformed
+	}
+	return k.Open(record[8:8], record)
 }

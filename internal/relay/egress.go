@@ -132,6 +132,16 @@ const egressCompactThreshold = 16
 // number of frames the write emitted (the relay registers it as
 // netibis_relay_egress_frames_per_write).
 func NewEgress(conn net.Conn, w *wire.Writer, limit int, hist *obs.Histogram) *Egress {
+	e := newEgress(conn, w, limit, hist)
+	e.start()
+	return e
+}
+
+// newEgress is NewEgress without the writer: frames enqueued before
+// start stay queued, in order, ahead of everything enqueued later. The
+// relay uses the gap to queue a node's attach ack before the node
+// becomes routable, then starts the writer.
+func newEgress(conn net.Conn, w *wire.Writer, limit int, hist *obs.Histogram) *Egress {
 	if limit <= 0 {
 		limit = DefaultEgressQueueFrames
 	}
@@ -145,9 +155,11 @@ func NewEgress(conn net.Conn, w *wire.Writer, limit int, hist *obs.Histogram) *E
 		sources:     make(map[string]*egressSource),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	go e.run()
 	return e
 }
+
+// start launches the writer goroutine.
+func (e *Egress) start() { go e.run() }
 
 // SetBatch overrides the per-write drain budgets (frames and payload
 // bytes; <= 0 keeps the default for that budget). Meant to be called

@@ -94,13 +94,7 @@ func TestRoutedWindowBlocksSenderAndResumes(t *testing.T) {
 		t.Fatalf("sender window = %d/%d, want 0/%d", avail, size, window)
 	}
 	// The receiver's buffer is bounded by the window.
-	rc := bc.(*routedConn)
-	rc.mu.Lock()
-	buffered := len(rc.buf)
-	rc.mu.Unlock()
-	if buffered > window {
-		t.Fatalf("receiver buffered %d bytes, window is %d", buffered, window)
-	}
+	assertRecvQueueBounded(t, bc.(*routedConn), window)
 
 	// Drain: credit flows back, the sender resumes, the bytes arrive in
 	// order.
@@ -118,6 +112,87 @@ func TestRoutedWindowBlocksSenderAndResumes(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted or reordered across the credit round-trips")
+	}
+}
+
+// assertRecvQueueBounded checks a stalled receiver's queue against the
+// flow-control bound: at most window bytes buffered, and at most twice
+// the window plus one full frame's storage pinned by the queued Bufs.
+func assertRecvQueueBounded(t *testing.T, rc *routedConn, window int) {
+	t.Helper()
+	rc.mu.Lock()
+	buffered, retained := rc.rq.Len(), rc.rq.Retained()
+	rc.mu.Unlock()
+	if buffered > window {
+		t.Fatalf("receiver buffered %d bytes, window is %d", buffered, window)
+	}
+	frame := wire.GetBuf(maxDataFrame + 512) // payload plus routing header
+	frameStorage := frame.Cap()
+	frame.Release()
+	if retained > 2*window+frameStorage {
+		t.Fatalf("receiver queue pins %d bytes of storage for %d buffered (window %d)", retained, buffered, window)
+	}
+}
+
+// TestRoutedFullFramesQueueBounded is the slow-reader bound at full frame
+// size: with the default window and maxDataFrame-sized frames retained
+// by the receive queue (sealed records opened in place), a stalled
+// receiver holds at most the window and pins at most twice that in
+// storage; the data then drains intact.
+func TestRoutedFullFramesQueueBounded(t *testing.T) {
+	t.Run("plaintext", func(t *testing.T) {
+		w := newRelayWorld(t)
+		a := w.attach(t, "fq-a", emunet.NoNAT)
+		b := w.attach(t, "fq-b", emunet.NoNAT)
+		defer a.Close()
+		defer b.Close()
+		checkFullFramesQueueBounded(t, a, b, "fq-b")
+	})
+	t.Run("sealed", func(t *testing.T) {
+		w := newAuthWorld(t, "relay-0")
+		a := w.attach("alice", w.issue("alice"), true)
+		b := w.attach("bob", w.issue("bob"), true)
+		checkFullFramesQueueBounded(t, a, b, "bob")
+	})
+}
+
+func checkFullFramesQueueBounded(t *testing.T, a, b *Client, bID string) {
+	const window = DefaultWindowBytes
+	a.SetWindow(window)
+	b.SetWindow(window)
+	ac, bc := dialPair(t, a, b, bID)
+	defer ac.Close()
+	defer bc.Close()
+
+	payload := make([]byte, 4*window)
+	for i := range payload {
+		payload[i] = byte(i % 253)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ac.Write(payload)
+		done <- err
+	}()
+	rc := bc.(*routedConn)
+	if why := testutil.Settle(func() (bool, string) {
+		rc.mu.Lock()
+		n := rc.rq.Len()
+		rc.mu.Unlock()
+		return n == window, fmt.Sprintf("receiver holds %d bytes, want the full %d-byte window", n, window)
+	}); why != "" {
+		t.Fatal(why)
+	}
+	assertRecvQueueBounded(t, rc, window)
+
+	got := make([]byte, len(payload))
+	if _, err := io.ReadFull(bc, got); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("sender: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("payload corrupted or reordered through the receive queue")
 	}
 }
 

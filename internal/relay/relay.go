@@ -605,22 +605,23 @@ func (s *Server) handleNode(c net.Conn, r *wire.Reader, attach wire.Frame) {
 		return
 	}
 
-	// Acknowledge before publishing the node: the instant it appears in
-	// s.nodes (and the mesh directory), forwarded frames may be injected
-	// into this connection, and they must not precede the attach ack the
-	// client's handshake is waiting for. The ack is written directly;
-	// only then does the egress writer take over the connection, so the
-	// ordering holds by construction.
-	ack := wire.AppendString(nil, s.ID())
-	ack = wire.AppendUvarint(ack, capCreditFlow)
-	if err := w.WriteFrame(KindAttachOK, 0, ack); err != nil {
-		return
-	}
-	peer.eg = NewEgress(c, w, s.egressQueue(), s.egressHist)
+	// The ack must reach the node before any frame routed to it, and the
+	// node must be routable before the ack reaches it: an Attach that
+	// returned while opens addressed to the node were still refused would
+	// hand its caller a relay that does not know it yet. Both hold by
+	// construction: the ack is the first frame of the node's egress
+	// (FIFO, and the writer's first pick), the node is published while
+	// the writer is not yet running, and only then does the writer start.
+	peer.eg = newEgress(c, w, s.egressQueue(), s.egressHist)
 	if batch := s.egressBatchFrames(); batch > 0 {
 		peer.eg.SetBatch(batch, 0)
 	}
 	defer peer.eg.Close()
+	ack := wire.AppendString(nil, s.ID())
+	ack = wire.AppendUvarint(ack, capCreditFlow)
+	if peer.enqueue(peer.id, KindAttachOK, ack, nil) != nil {
+		return
+	}
 
 	s.attachMu.Lock()
 	s.mu.Lock()
@@ -645,6 +646,7 @@ func (s *Server) handleNode(c net.Conn, r *wire.Reader, attach wire.Frame) {
 		fwd.NodeAttached(id)
 	}
 	s.attachMu.Unlock()
+	peer.eg.start()
 	s.attachOutcomes[0].Add(1)
 	s.trace().Eventf("relay", "node %s attached", id)
 	defer func() {
@@ -1341,9 +1343,9 @@ func (c *Client) Accept() (net.Conn, error) {
 }
 
 // readLoop demultiplexes frames arriving from the relay. Frames are
-// read into a pooled buffer (released after dispatch); the payload of a
-// data frame is copied exactly once, into the destination link's
-// receive buffer.
+// read into a pooled buffer (released after dispatch); a data frame's
+// buffer is retained by the destination link's receive queue, so its
+// payload is copied exactly once, into the application's Read buffer.
 func (c *Client) readLoop(r *wire.Reader, gen int) {
 	for {
 		kind, _, b, err := r.ReadFrameBuf()
@@ -1351,15 +1353,16 @@ func (c *Client) readLoop(r *wire.Reader, gen int) {
 			c.disconnected(err, gen)
 			return
 		}
-		c.dispatch(kind, b.Bytes())
+		c.dispatch(kind, b)
 		b.Release()
 	}
 }
 
-// dispatch handles one frame from the relay; payload is only valid for
-// the duration of the call.
-func (c *Client) dispatch(kind byte, payload []byte) {
-	hdr, body, ok := parseRouted(payload)
+// dispatch handles one frame from the relay. It borrows b for the
+// duration of the call; a data frame's link retains b when it queues the
+// payload, so the caller's release stays valid either way.
+func (c *Client) dispatch(kind byte, b *wire.Buf) {
+	hdr, body, ok := parseRouted(b.Bytes())
 	if !ok {
 		return
 	}
@@ -1532,7 +1535,7 @@ func (c *Client) dispatch(kind byte, payload []byte) {
 		rc := c.links[key]
 		c.mu.Unlock()
 		if rc != nil {
-			rc.deliver(data)
+			rc.deliver(b, data)
 		}
 	case KindCredit:
 		// The peer's reader drained bytes and returns them to our send
@@ -1715,7 +1718,7 @@ type routedConn struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // readers: data arrival, close, deadline wake-ups
 	wcond  *sync.Cond // writers: credit arrival, close, deadline wake-ups
-	buf    []byte
+	rq     wire.Queue // received data ahead of Read: retained frame Bufs
 	rerr   error
 	closed bool
 
@@ -1768,36 +1771,46 @@ func (rc *routedConn) role() byte {
 	return roleAcceptor
 }
 
-// deliver appends received payload to the link's receive buffer. The
-// buffer is bounded by the flow-control invariant, not by a check here:
-// outstanding credit plus buffered bytes never exceeds recvWindow for a
+// deliver queues received payload p, which aliases the frame Buf b, on
+// the link's receive queue. It borrows b: the queue retains the frame
+// (no payload copy) and the caller's release stays valid. The queue is
+// bounded by the flow-control invariant, not by a check here:
+// outstanding credit plus queued bytes never exceeds recvWindow for a
 // conforming peer, because credit is only granted as Read drains.
 //
 // On a sealed link p is an AEAD record: it is authenticated and
-// decrypted in place (the plaintext is appended straight into the
-// receive buffer, no intermediate copy). A record that fails
-// authentication, or replays an already-accepted sequence number — an
-// injected, tampered or replayed frame, or plaintext smuggled onto a
-// sealed link — kills the link with ErrE2E instead of delivering it.
-func (rc *routedConn) deliver(p []byte) {
+// decrypted in place, inside the frame Buf, and only the authenticated
+// plaintext is queued. A record that fails authentication, or replays
+// an already-accepted sequence number — an injected, tampered or
+// replayed frame, or plaintext smuggled onto a sealed link — kills the
+// link with ErrE2E instead of delivering it. Frames arriving after the
+// link was closed, failed or shut by the peer are dropped.
+func (rc *routedConn) deliver(b *wire.Buf, p []byte) {
 	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.closed || rc.rerr != nil {
+		return
+	}
 	if rc.keys != nil {
-		pt, seq, err := rc.keys.Open(rc.buf, p)
+		pt, seq, err := rc.keys.OpenInPlace(p)
 		if err != nil || seq <= rc.recvSeq {
 			rc.failLocked(ErrE2E)
-			rc.mu.Unlock()
 			return
 		}
 		rc.recvSeq = seq
-		rc.buf = pt
-	} else {
-		rc.buf = append(rc.buf, p...)
+		p = pt
 	}
+	if len(p) == 0 {
+		return
+	}
+	b.Retain()
+	rc.rq.Push(b, p)
 	rc.cond.Broadcast()
-	rc.mu.Unlock()
 }
 
-// failLocked is closeWithError with rc.mu already held.
+// failLocked is closeWithError with rc.mu already held. Data queued
+// before the failure stays readable (it was authenticated); nothing is
+// queued after it.
 func (rc *routedConn) failLocked(err error) {
 	rc.closed = true
 	if rc.rerr == nil {
@@ -1837,12 +1850,7 @@ func (rc *routedConn) peerClosed() {
 // accept backlog) can recognise and discard it.
 func (rc *routedConn) abandonedByPeer() {
 	rc.mu.Lock()
-	rc.closed = true
-	if rc.rerr == nil {
-		rc.rerr = ErrAbandoned
-	}
-	rc.cond.Broadcast()
-	rc.wcond.Broadcast()
+	rc.failLocked(ErrAbandoned)
 	rc.mu.Unlock()
 }
 
@@ -1859,16 +1867,12 @@ func (rc *routedConn) Abandoned() bool {
 // must not be treated as a usable or half-open connection.
 func (rc *routedConn) Abort() error {
 	rc.mu.Lock()
+	rc.rq.Reset()
 	if rc.closed {
 		rc.mu.Unlock()
 		return nil
 	}
-	rc.closed = true
-	if rc.rerr == nil {
-		rc.rerr = ErrAbandoned
-	}
-	rc.cond.Broadcast()
-	rc.wcond.Broadcast()
+	rc.failLocked(ErrAbandoned)
 	rc.mu.Unlock()
 	body := wire.AppendString(nil, rc.client.id)
 	body = wire.AppendUvarint(body, uint64(rc.role()))
@@ -1879,12 +1883,7 @@ func (rc *routedConn) Abort() error {
 
 func (rc *routedConn) closeWithError(err error) {
 	rc.mu.Lock()
-	rc.closed = true
-	if rc.rerr == nil {
-		rc.rerr = err
-	}
-	rc.cond.Broadcast()
-	rc.wcond.Broadcast()
+	rc.failLocked(err)
 	rc.mu.Unlock()
 }
 
@@ -1917,9 +1916,8 @@ func waitDeadline(cond *sync.Cond, mu *sync.Mutex, deadline time.Time) error {
 func (rc *routedConn) Read(p []byte) (int, error) {
 	rc.mu.Lock()
 	for {
-		if len(rc.buf) > 0 {
-			n := copy(p, rc.buf)
-			rc.buf = rc.buf[n:]
+		if rc.rq.Len() > 0 {
+			n, _ := rc.rq.Read(p)
 			grant := 0
 			if rc.rerr == nil && !rc.closed && rc.client.creditSupported() {
 				rc.unacked += n
@@ -1983,7 +1981,7 @@ func (rc *routedConn) resyncAfterResume() {
 		return
 	}
 	rc.sendWindow = rc.sendInit
-	grant := rc.recvWindow - len(rc.buf) - rc.unacked
+	grant := rc.recvWindow - rc.rq.Len() - rc.unacked
 	rc.unacked = 0
 	rc.wcond.Broadcast()
 	rc.mu.Unlock()
@@ -2109,9 +2107,11 @@ func (rc *routedConn) SendWindow() (avail, size int) {
 	return rc.sendWindow, rc.sendInit
 }
 
-// Close implements net.Conn.
+// Close implements net.Conn. Data still queued is released, also on a
+// link that already failed or was closed by its peer.
 func (rc *routedConn) Close() error {
 	rc.mu.Lock()
+	rc.rq.Reset()
 	if rc.closed {
 		rc.mu.Unlock()
 		return nil

@@ -534,3 +534,51 @@ func TestClientResumeOnSecondRelay(t *testing.T) {
 		t.Fatalf("echo after resume: %q %v", buf, err)
 	}
 }
+
+// TestAttachThenDialNeverRefused pins attach visibility: once Attach has
+// returned, the relay routes to the node, so an open addressed to it is
+// never refused as unknown. The loop is tight on purpose — the relay
+// once acknowledged an attach before publishing the node, and a dial
+// racing into that gap failed with ErrRefused.
+func TestAttachThenDialNeverRefused(t *testing.T) {
+	w := newRelayWorld(t)
+	h := w.fabric.AddSite("attach-loop", emunet.SiteConfig{Firewall: emunet.Stateful}).AddHost("attach-loop")
+	attach := func(id string) *Client {
+		conn, err := h.Dial(emunet.Endpoint{Addr: w.relay.Address(), Port: 4500})
+		if err != nil {
+			t.Fatalf("dial relay: %v", err)
+		}
+		c, err := Attach(conn, id)
+		if err != nil {
+			t.Fatalf("attach %s: %v", id, err)
+		}
+		return c
+	}
+	iterations := 1000
+	if testing.Short() {
+		iterations = 100
+	}
+	for i := 0; i < iterations; i++ {
+		a := attach(fmt.Sprintf("loop-a-%d", i))
+		bID := fmt.Sprintf("loop-b-%d", i)
+		b := attach(bID)
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			c, err := b.Accept()
+			if err != nil {
+				c = nil
+			}
+			accepted <- c
+		}()
+		ac, err := a.Dial(bID, 2*time.Second)
+		if err != nil {
+			t.Fatalf("iteration %d: dial right after attach: %v", i, err)
+		}
+		if bc := <-accepted; bc != nil {
+			bc.Close()
+		}
+		ac.Close()
+		a.Close()
+		b.Close()
+	}
+}

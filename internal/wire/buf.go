@@ -27,15 +27,19 @@ type Buf struct {
 }
 
 // bufClassSizes are the pooled size classes. Small control frames land
-// in the first class, the 64 KiB class matches the TCP_Block default
-// block size and the parallel-streams fragment size (the dominant frame
-// size on the data path), and the large classes serve compression
-// blocks and oversize application writes.
-var bufClassSizes = [...]int{4 << 10, 16 << 10, 64<<10 + 512, 256 << 10, 1 << 20}
+// in the first class, the 32 KiB class holds a full routed relay data
+// frame (32 KiB of payload plus its routing header), the 64 KiB class
+// matches the TCP_Block default block size and the parallel-streams
+// fragment size (the dominant frame size on the data path), and the
+// large classes serve compression blocks and oversize application
+// writes.
+var bufClassSizes = [...]int{4 << 10, 16 << 10, 32<<10 + 512, 64<<10 + 512, 256 << 10, 1 << 20}
 
-// The 64 KiB class has 512 bytes of slack so a block-size payload plus a
-// small driver header (zip's 9 bytes, multi's fragment header) still
-// fits the class instead of spilling into the 256 KiB one.
+// The 32 and 64 KiB classes have 512 bytes of slack so a full-size
+// payload plus a small header (a relay routing header, zip's 9 bytes,
+// multi's fragment header) still fits the class instead of spilling into
+// the next one: a routed frame queued ahead of its reader then pins
+// barely more than the bytes it carries, not twice as much.
 
 var bufPools [len(bufClassSizes)]sync.Pool
 
